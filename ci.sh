@@ -18,6 +18,15 @@ cargo build --release --workspace
 echo "== test =="
 cargo test -q --workspace
 
+echo "== benchmark tests (bit-for-bit correctness gate) =="
+# The benchmark is a package of its own, outside the workspace, so
+# the step above does not reach it. Its tests include the correctness
+# gate: pipelined ring-onebit-proc jobs over real worker processes
+# must hash bit-identical to the thread engine's reference, and a
+# flipped reference bit must fail the run. (The codec streams
+# themselves are pinned by crates/compress/tests/golden.rs.)
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== lint (plan verifier + CompLL dataflow, full matrix) =="
 # Runs hipress-lint over every strategy x algorithm x cluster-size
 # task graph plus all shipped CompLL programs; any diagnostic fails.

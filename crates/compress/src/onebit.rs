@@ -19,7 +19,7 @@
 
 use crate::header::{read_f32, AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
-use hipress_util::bits::{packed_len, BitReader, BitWriter};
+use hipress_util::bits::{pack, packed_len, unpack};
 use hipress_util::{Error, Result};
 
 /// The optimized (CompLL-style) 1-bit quantizer.
@@ -37,30 +37,41 @@ impl OneBit {
     }
 }
 
+/// The positive subset's sum, the non-positive subset's sum, and the
+/// positive count, each sum taken in element order in `f64`.
+///
+/// Branch-free, a block at a time: each element is selected into one
+/// side's block and `0.0` into the other's, then both blocks are
+/// summed in element order. Each sum thus sees its own subset's
+/// elements in order, and adding `+0.0` leaves a sum unchanged (neither
+/// sum can hold `-0.0`: both start at `+0.0`), so both sums are
+/// bit-identical to summing each subset alone.
+fn subset_sums(grad: &[f32]) -> (f64, f64, u64) {
+    const BLOCK: usize = 64;
+    let (mut pos_sum, mut neg_sum, mut pos_n) = (0.0f64, 0.0f64, 0u64);
+    for block in grad.chunks(BLOCK) {
+        let (mut pos, mut neg) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
+        for ((&x, p), n) in block.iter().zip(&mut pos).zip(&mut neg) {
+            let is_pos = x > 0.0;
+            *p = if is_pos { x } else { 0.0 };
+            *n = if is_pos { 0.0 } else { x };
+            pos_n += is_pos as u64;
+        }
+        for (&p, &n) in pos[..block.len()].iter().zip(&neg[..block.len()]) {
+            pos_sum += p as f64;
+            neg_sum += n as f64;
+        }
+    }
+    (pos_sum, neg_sum, pos_n)
+}
+
 /// Computes the reconstruction levels: means of the positive and
 /// non-positive element subsets. Zero-count subsets get level 0.
 fn reconstruction_levels(grad: &[f32]) -> (f32, f32) {
-    let (mut pos_sum, mut pos_n, mut neg_sum, mut neg_n) = (0.0f64, 0u64, 0.0f64, 0u64);
-    for &x in grad {
-        if x > 0.0 {
-            pos_sum += x as f64;
-            pos_n += 1;
-        } else {
-            neg_sum += x as f64;
-            neg_n += 1;
-        }
-    }
-    let pos_mean = if pos_n > 0 {
-        (pos_sum / pos_n as f64) as f32
-    } else {
-        0.0
-    };
-    let neg_mean = if neg_n > 0 {
-        (neg_sum / neg_n as f64) as f32
-    } else {
-        0.0
-    };
-    (neg_mean, pos_mean)
+    let (pos_sum, neg_sum, pos_n) = subset_sums(grad);
+    let neg_n = grad.len() as u64 - pos_n;
+    let mean = |sum: f64, n: u64| if n > 0 { (sum / n as f64) as f32 } else { 0.0 };
+    (mean(neg_sum, neg_n), mean(pos_sum, pos_n))
 }
 
 impl Compressor for OneBit {
@@ -82,11 +93,7 @@ impl Compressor for OneBit {
         .write(&mut out);
         out.extend_from_slice(&neg_mean.to_le_bytes());
         out.extend_from_slice(&pos_mean.to_le_bytes());
-        let mut bits = BitWriter::with_capacity_bits(grad.len());
-        for &x in grad {
-            bits.write_bit(x > 0.0);
-        }
-        out.extend_from_slice(&bits.finish());
+        pack(&mut out, 1, grad, |&x| (x > 0.0) as u64);
         out
     }
 
@@ -95,17 +102,9 @@ impl Compressor for OneBit {
         let neg_mean = read_f32(rest, 0)?;
         let pos_mean = read_f32(rest, 4)?;
         let bits = &rest[8..];
-        let elems = h.elems as usize;
-        if bits.len() < packed_len(elems, 1) {
-            return Err(Error::codec("onebit stream truncated"));
-        }
-        let mut reader = BitReader::new(bits);
-        let mut out = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            let bit = reader.read_bit().expect("length checked above");
-            out.push(if bit { pos_mean } else { neg_mean });
-        }
-        Ok(out)
+        let levels = [neg_mean, pos_mean];
+        unpack(bits, 1, h.elems as usize, |bit| levels[bit as usize])
+            .ok_or_else(|| Error::codec("onebit stream truncated"))
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {
@@ -190,6 +189,38 @@ mod tests {
         let s1: f64 = grad.iter().map(|&x| x as f64).sum();
         let s2: f64 = dec.iter().map(|&x| x as f64).sum();
         assert!((s1 - s2).abs() / s1.abs().max(1.0) < 1e-3);
+    }
+
+    /// The branch-free sums equal summing each subset alone, bit for
+    /// bit, on inputs spanning 2^±60 where the summation order shows
+    /// in the rounding.
+    #[test]
+    fn subset_sums_match_per_subset_order() {
+        use hipress_util::rng::{Rng64, Xoshiro256};
+        let mut rng = Xoshiro256::new(0x0B17_0005);
+        for len in [0usize, 1, 63, 64, 65, 1000, 4097] {
+            let grad: Vec<f32> = (0..len)
+                .map(|i| match i % 13 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => {
+                        let x = rng.next_f32() * 2.0 - 1.0;
+                        x * 2f32.powi(rng.range_u64(0, 121) as i32 - 60)
+                    }
+                })
+                .collect();
+            let (mut pos, mut neg) = (0.0f64, 0.0f64);
+            for &x in &grad {
+                if x > 0.0 {
+                    pos += x as f64;
+                } else {
+                    neg += x as f64;
+                }
+            }
+            let (p, n, pos_n) = subset_sums(&grad);
+            assert_eq!((p.to_bits(), n.to_bits()), (pos.to_bits(), neg.to_bits()));
+            assert_eq!(pos_n as usize, grad.iter().filter(|&&x| x > 0.0).count());
+        }
     }
 
     #[test]

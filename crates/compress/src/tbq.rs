@@ -14,7 +14,7 @@
 
 use crate::header::{read_f32, AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
-use hipress_util::bits::{packed_len, BitReader, BitWriter};
+use hipress_util::bits::{pack, packed_len, unpack};
 use hipress_util::{Error, Result};
 
 /// 2-bit code for a zero element.
@@ -23,6 +23,8 @@ const CODE_ZERO: u64 = 0b00;
 const CODE_POS: u64 = 0b01;
 /// 2-bit code for −τ.
 const CODE_NEG: u64 = 0b10;
+/// The unused 2-bit code.
+const CODE_INVALID: u64 = 0b11;
 
 /// The optimized threshold binary quantizer.
 #[derive(Debug, Clone, Copy)]
@@ -67,18 +69,13 @@ impl Compressor for Tbq {
         }
         .write(&mut out);
         out.extend_from_slice(&self.tau.to_le_bytes());
-        let mut bits = BitWriter::with_capacity_bits(grad.len() * 2);
-        for &x in grad {
-            let code = if x >= self.tau {
-                CODE_POS
-            } else if x <= -self.tau {
-                CODE_NEG
-            } else {
-                CODE_ZERO
-            };
-            bits.write(code, 2);
-        }
-        out.extend_from_slice(&bits.finish());
+        let tau = self.tau;
+        pack(&mut out, 2, grad, |&x| {
+            // Branch-free; never both, as τ > 0.
+            let pos = if x >= tau { CODE_POS } else { CODE_ZERO };
+            let neg = if x <= -tau { CODE_NEG } else { CODE_ZERO };
+            pos | neg
+        });
         out
     }
 
@@ -86,22 +83,17 @@ impl Compressor for Tbq {
         let (h, rest) = Header::read_expecting(data, AlgoId::Tbq)?;
         let tau = read_f32(rest, 0)?;
         let bits = &rest[4..];
-        let elems = h.elems as usize;
-        if bits.len() < packed_len(elems, 2) {
-            return Err(Error::codec("tbq stream truncated"));
-        }
-        let mut reader = BitReader::new(bits);
-        let mut out = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            let code = reader.read(2).expect("length checked above");
-            out.push(match code {
-                CODE_ZERO => 0.0,
-                CODE_POS => tau,
-                CODE_NEG => -tau,
-                other => {
-                    return Err(Error::codec(format!("invalid TBQ code {other:#b}")));
-                }
-            });
+        // Indexed by code; the one invalid code (0b11) is flagged and
+        // rejected after the scan.
+        let levels = [0.0, tau, -tau, 0.0];
+        let mut invalid = false;
+        let out = unpack(bits, 2, h.elems as usize, |code| {
+            invalid |= code == CODE_INVALID;
+            levels[code as usize]
+        })
+        .ok_or_else(|| Error::codec("tbq stream truncated"))?;
+        if invalid {
+            return Err(Error::codec(format!("invalid TBQ code {CODE_INVALID:#b}")));
         }
         Ok(out)
     }

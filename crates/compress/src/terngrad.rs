@@ -24,7 +24,7 @@
 
 use crate::header::{read_f32, AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
-use hipress_util::bits::{packed_len, BitReader, BitWriter};
+use hipress_util::bits::{pack, packed_len, unpack};
 use hipress_util::rng::{Rng64, Xoshiro256};
 use hipress_util::{Error, Result};
 
@@ -98,19 +98,21 @@ impl Compressor for TernGrad {
         out.extend_from_slice(&max.to_le_bytes());
 
         // Pass 2: stochastic rounding + bit packing.
-        let width = self.bitwidth as u32;
-        let mut bits = BitWriter::with_capacity_bits(grad.len() * width as usize);
-        for &x in grad {
+        let top = self.levels() - 1;
+        pack(&mut out, self.bitwidth as u32, grad, |&x| {
             let q = if gap > 0.0 {
                 let r = (x - min) / gap;
-                let rounded = (r + rng.next_f32()).floor() as u32;
-                rounded.min(self.levels() - 1)
+                // floor() without the libm call: a float-to-int `as`
+                // truncates toward zero and saturates every negative
+                // value (and NaN) to 0, which is exactly `floor() as
+                // u32` on every input.
+                let rounded = (r + rng.next_f32()) as u32;
+                rounded.min(top)
             } else {
                 0
             };
-            bits.write(q as u64, width);
-        }
-        out.extend_from_slice(&bits.finish());
+            q as u64
+        });
         out
     }
 
@@ -127,23 +129,16 @@ impl Compressor for TernGrad {
         let min = read_f32(rest, 1)?;
         let max = read_f32(rest, 5)?;
         let bits = &rest[9..];
-        let elems = h.elems as usize;
-        if bits.len() < packed_len(elems, bitwidth as u32) {
-            return Err(Error::codec("terngrad stream truncated"));
-        }
         let levels = (1u32 << bitwidth) - 1;
         let gap = if levels > 0 && max > min {
             (max - min) / levels as f32
         } else {
             0.0
         };
-        let mut reader = BitReader::new(bits);
-        let mut out = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            let q = reader.read(bitwidth as u32).expect("length checked above");
-            out.push(min + q as f32 * gap);
-        }
-        Ok(out)
+        unpack(bits, bitwidth as u32, h.elems as usize, |q| {
+            min + q as f32 * gap
+        })
+        .ok_or_else(|| Error::codec("terngrad stream truncated"))
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {
@@ -226,6 +221,31 @@ mod tests {
         let grad: Vec<f32> = (0..257).map(|i| (i as f32).cos()).collect();
         assert_eq!(c.encode(&grad, 9), c.encode(&grad, 9));
         assert_ne!(c.encode(&grad, 9), c.encode(&grad, 10));
+    }
+
+    /// The encoder's `as u32` stands in for `floor() as u32`: equal on
+    /// specials, near-integers and a sweep of bit patterns.
+    #[test]
+    fn truncation_equals_floor_then_cast() {
+        let mut xs = vec![
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            0.999_999_94,
+            -0.999_999_94,
+            1.0,
+            -1.0,
+            4_294_967_296.0,
+            f32::MAX,
+        ];
+        xs.extend((0..=u32::MAX).step_by(65_521).map(f32::from_bits));
+        for x in xs {
+            assert_eq!(x as u32, x.floor() as u32, "{x:e}");
+        }
     }
 
     #[test]

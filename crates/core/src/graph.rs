@@ -262,6 +262,25 @@ impl TaskGraph {
         Ok(order)
     }
 
+    /// The dependency of `id` with primitive `want`, looking through
+    /// zero-cost barriers: depth-first over direct dependencies,
+    /// descending only into `Barrier`s. This is how every executor
+    /// (interpreter, runtime) and the plan verifier resolve which
+    /// task's output a task consumes.
+    pub fn find_dep(&self, id: TaskId, want: Primitive) -> Option<TaskId> {
+        let mut stack: Vec<TaskId> = self.task(id).deps.clone();
+        while let Some(d) = stack.pop() {
+            let dt = self.task(d);
+            if dt.prim == want {
+                return Some(d);
+            }
+            if dt.prim == Primitive::Barrier {
+                stack.extend(dt.deps.iter().copied());
+            }
+        }
+        None
+    }
+
     /// Sync completion tasks: the `Update` (or final `Merge` for the
     /// chunk owner) whose completion marks a gradient fully
     /// synchronized on a node. Used by the executor to compute

@@ -321,22 +321,6 @@ impl Pairing {
     }
 }
 
-/// Mirrors the interpreter's `find_dep`: depth-first over direct
-/// dependencies, looking through `Barrier` pseudo-tasks only.
-fn find_dep(graph: &TaskGraph, t: &TaskNode, want: Primitive) -> Option<TaskId> {
-    let mut stack: Vec<TaskId> = t.deps.clone();
-    while let Some(d) = stack.pop() {
-        let dt = graph.task(d);
-        if dt.prim == want {
-            return Some(d);
-        }
-        if dt.prim == Primitive::Barrier {
-            stack.extend(dt.deps.iter().copied());
-        }
-    }
-    None
-}
-
 /// The payload kind a send puts on the wire (`None` when the forward
 /// chain is broken — reported elsewhere).
 fn send_kind(graph: &TaskGraph, send: TaskId) -> Option<Kind> {
@@ -345,7 +329,7 @@ fn send_kind(graph: &TaskGraph, send: TaskId) -> Option<Kind> {
         SendSrc::Raw => Some(Kind::Raw),
         SendSrc::Encoded => Some(Kind::Compressed),
         SendSrc::Forward => {
-            let recv = find_dep(graph, t, Primitive::Recv)?;
+            let recv = graph.find_dep(t.id, Primitive::Recv)?;
             let upstream = graph
                 .task(recv)
                 .deps
@@ -405,7 +389,7 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
                     missing(report, t, "encodes a chunk no Source initialized before it");
                 }
             }
-            Primitive::Decode => match find_dep(graph, t, Primitive::Recv) {
+            Primitive::Decode => match graph.find_dep(t.id, Primitive::Recv) {
                 None => missing(report, t, "decode without a recv dependency"),
                 Some(r) => {
                     if recv_kind(graph, r) == Some(Kind::Raw) {
@@ -425,8 +409,8 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
                         "merges into an accumulator no Source initialized",
                     );
                 }
-                if find_dep(graph, t, Primitive::Decode).is_none() {
-                    match find_dep(graph, t, Primitive::Recv) {
+                if graph.find_dep(t.id, Primitive::Decode).is_none() {
+                    match graph.find_dep(t.id, Primitive::Recv) {
                         None => missing(report, t, "merge with nothing to merge"),
                         Some(r) => {
                             if recv_kind(graph, r) == Some(Kind::Compressed) {
@@ -451,12 +435,12 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
                         }
                     }
                     SendSrc::Encoded => {
-                        if find_dep(graph, t, Primitive::Encode).is_none() {
+                        if graph.find_dep(t.id, Primitive::Encode).is_none() {
                             missing(report, t, "encoded send without an encode dependency");
                         }
                     }
                     SendSrc::Forward => {
-                        if find_dep(graph, t, Primitive::Recv).is_none() {
+                        if graph.find_dep(t.id, Primitive::Recv).is_none() {
                             missing(report, t, "forward send without a recv dependency");
                         }
                     }
@@ -472,9 +456,9 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
             Primitive::Update => {
                 if !sources.contains_key(&(t.node, t.chunk.grad, t.chunk.part)) {
                     missing(report, t, "commits a chunk replica that has no Source");
-                } else if find_dep(graph, t, Primitive::Decode).is_some() {
+                } else if graph.find_dep(t.id, Primitive::Decode).is_some() {
                     // Installs the decoded payload.
-                } else if let Some(r) = find_dep(graph, t, Primitive::Recv) {
+                } else if let Some(r) = graph.find_dep(t.id, Primitive::Recv) {
                     if recv_kind(graph, r) == Some(Kind::Compressed) {
                         report.push(Diagnostic::new(
                             Code::PayloadKindMismatch,
@@ -485,7 +469,7 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
                             ),
                         ));
                     }
-                } else if find_dep(graph, t, Primitive::Encode).is_some() {
+                } else if graph.find_dep(t.id, Primitive::Encode).is_some() {
                     // Installs the decode∘encode reconstruction.
                 } else if !initialized(t) {
                     missing(report, t, "commits an accumulator no Source initialized");
@@ -507,9 +491,9 @@ fn access_of(graph: &TaskGraph, t: &TaskNode) -> Option<Access> {
         Primitive::Merge => Some(Access::Write),
         Primitive::Send if t.send_src == SendSrc::Raw => Some(Access::Read),
         Primitive::Update => {
-            let foreign = find_dep(graph, t, Primitive::Decode).is_some()
-                || find_dep(graph, t, Primitive::Recv).is_some()
-                || find_dep(graph, t, Primitive::Encode).is_some();
+            let foreign = graph.find_dep(t.id, Primitive::Decode).is_some()
+                || graph.find_dep(t.id, Primitive::Recv).is_some()
+                || graph.find_dep(t.id, Primitive::Encode).is_some();
             Some(if foreign { Access::Write } else { Access::Read })
         }
         _ => None,

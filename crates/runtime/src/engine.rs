@@ -333,6 +333,14 @@ pub enum Payload {
 }
 
 impl Payload {
+    /// The uncompressed data, if this is a raw payload.
+    fn raw(&self) -> Option<&[f32]> {
+        match self {
+            Payload::Raw(v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// Bytes this payload occupies on the wire.
     pub fn wire_bytes(&self) -> u64 {
         match self {
@@ -401,13 +409,15 @@ pub enum Msg {
     },
 }
 
-/// Per-chunk node state: the local accumulator and the installed
-/// aggregate, plus degradation bookkeeping (how many contributions
-/// merged in, how many were skipped).
+/// Per-chunk node state: the local accumulator, which `Update`
+/// overwrites with the installed aggregate, plus degradation
+/// bookkeeping (how many contributions merged in, how many were
+/// skipped).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Cell {
     pub(crate) acc: Vec<f32>,
-    pub(crate) updated: Option<Vec<f32>>,
+    /// Whether `Update` has installed the aggregate into `acc`.
+    pub(crate) updated: bool,
     /// Contributions successfully merged into `acc`.
     pub(crate) merged: u32,
     /// Contributions lost to a degradation skip.
@@ -817,10 +827,12 @@ impl FlowLayout {
                     let cell = cells_per_node[node].get(&(ff, p)).ok_or_else(|| {
                         Error::sim(format!("node {node} never touched chunk ({ff},{p})"))
                     })?;
-                    let value = cell.updated.as_ref().ok_or_else(|| {
-                        Error::sim(format!("node {node} never updated chunk ({ff},{p})"))
-                    })?;
-                    dense[start..start + len].copy_from_slice(value);
+                    if !cell.updated {
+                        return Err(Error::sim(format!(
+                            "node {node} never updated chunk ({ff},{p})"
+                        )));
+                    }
+                    dense[start..start + len].copy_from_slice(&cell.acc);
                 }
                 per_node.push(dense);
             }
@@ -875,6 +887,28 @@ impl NodePlan {
             remote_notify,
             remote_edges_in,
             local_counts,
+        }
+    }
+}
+
+/// The vector a `Merge` or `Update` consumes (see
+/// [`NodeCore::take_incoming`]).
+enum Incoming {
+    /// A decoded vector, moved out of the decode outputs.
+    Owned(Vec<f32>),
+    /// A received raw payload, shared with any forwarding send.
+    Shared(Arc<Payload>),
+    /// A degradation hole: the contribution was skipped.
+    Hole,
+}
+
+impl Incoming {
+    /// The data, or `None` for a hole.
+    fn as_slice(&self) -> Option<&[f32]> {
+        match self {
+            Incoming::Owned(v) => Some(v),
+            Incoming::Shared(p) => p.raw(),
+            Incoming::Hole => None,
         }
     }
 }
@@ -948,25 +982,41 @@ impl<'a> NodeCore<'a> {
         self
     }
 
-    /// Finds the transitive dependency of `id` matching `pred`,
-    /// looking through zero-cost barriers (mirrors the interpreter).
-    pub(crate) fn find_dep(&self, id: TaskId, pred: impl Fn(Primitive) -> bool) -> Option<TaskId> {
-        let mut stack: Vec<TaskId> = self.graph.task(id).deps.clone();
-        while let Some(d) = stack.pop() {
-            let dt = self.graph.task(d);
-            if pred(dt.prim) {
-                return Some(d);
-            }
-            if dt.prim == Primitive::Barrier {
-                stack.extend(dt.deps.iter().copied());
-            }
-        }
-        None
-    }
-
     fn compressor(&self) -> Result<&dyn Compressor> {
         self.compressor
             .ok_or_else(|| Error::sim("codec task without a compressor"))
+    }
+
+    /// Takes the vector a `Merge` or `Update` consumes from its
+    /// `Decode` or raw `Recv` dependency; `Ok(None)` if it has
+    /// neither. A decoded vector is moved out: each `Decode` has
+    /// exactly one local consumer (the runtime's `single_consumer`
+    /// test holds every strategy to that). A received payload stays
+    /// in place and is shared, because a `Forward` send may read it
+    /// too.
+    fn take_incoming(&mut self, id: TaskId, what: &str) -> Result<Option<Incoming>> {
+        if let Some(d) = self.graph.find_dep(id, Primitive::Decode) {
+            if self.skipped_out.contains(&d.0) {
+                return Ok(Some(Incoming::Hole));
+            }
+            let v = self
+                .dec_out
+                .remove(&d.0)
+                .ok_or_else(|| Error::sim(format!("{what} before decode")))?;
+            return Ok(Some(Incoming::Owned(v)));
+        }
+        let Some(r) = self.graph.find_dep(id, Primitive::Recv) else {
+            return Ok(None);
+        };
+        let p = self
+            .recv_payload
+            .get(&r.0)
+            .ok_or_else(|| Error::sim(format!("{what} before recv delivered")))?;
+        match p.as_ref() {
+            Payload::Raw(_) => Ok(Some(Incoming::Shared(p.clone()))),
+            Payload::Compressed(_) => Err(Error::sim(format!("raw {what} of compressed payload"))),
+            Payload::Skipped => Ok(Some(Incoming::Hole)),
+        }
     }
 
     /// Rescales a degraded accumulator exactly once, approximating the
@@ -1059,7 +1109,8 @@ impl<'a> NodeCore<'a> {
             }
             Primitive::Decode => {
                 let recv = self
-                    .find_dep(id, |p| p == Primitive::Recv)
+                    .graph
+                    .find_dep(id, Primitive::Recv)
                     .ok_or_else(|| Error::sim("decode without a recv dependency"))?;
                 match self.recv_payload.get(&recv.0).map(|p| p.as_ref()) {
                     Some(Payload::Compressed(bytes)) => {
@@ -1078,39 +1129,15 @@ impl<'a> NodeCore<'a> {
                 }
             }
             Primitive::Merge => {
-                enum Contribution {
-                    Data(Vec<f32>),
-                    Hole,
-                }
-                let contribution = if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode) {
-                    if self.skipped_out.contains(&d.0) {
-                        Contribution::Hole
-                    } else {
-                        Contribution::Data(
-                            self.dec_out
-                                .get(&d.0)
-                                .cloned()
-                                .ok_or_else(|| Error::sim("merge before decode"))?,
-                        )
-                    }
-                } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
-                    match self.recv_payload.get(&r.0).map(|p| p.as_ref()) {
-                        Some(Payload::Raw(v)) => Contribution::Data(v.clone()),
-                        Some(Payload::Compressed(_)) => {
-                            return Err(Error::sim("raw merge of compressed payload"));
-                        }
-                        Some(Payload::Skipped) => Contribution::Hole,
-                        None => return Err(Error::sim("merge before recv delivered")),
-                    }
-                } else {
-                    return Err(Error::sim("merge with nothing to merge"));
-                };
+                let incoming = self
+                    .take_incoming(id, "merge")?
+                    .ok_or_else(|| Error::sim("merge with nothing to merge"))?;
                 let cell = self
                     .cells
                     .get_mut(&key)
                     .ok_or_else(|| Error::sim("merge with no accumulator"))?;
-                match contribution {
-                    Contribution::Data(contribution) => {
+                match incoming.as_slice() {
+                    Some(contribution) => {
                         if contribution.len() != cell.acc.len() {
                             return Err(Error::sim("merge length mismatch"));
                         }
@@ -1119,7 +1146,7 @@ impl<'a> NodeCore<'a> {
                         }
                         cell.merged += 1;
                     }
-                    Contribution::Hole => {
+                    None => {
                         // The contribution was skipped by degradation:
                         // nothing to add; remember the gap so the acc
                         // is rescaled before anyone consumes it.
@@ -1135,38 +1162,42 @@ impl<'a> NodeCore<'a> {
                             .cells
                             .get(&key)
                             .ok_or_else(|| Error::sim("raw send with no state"))?;
-                        Payload::Raw(cell.acc.clone())
+                        Arc::new(Payload::Raw(cell.acc.clone()))
                     }
                     SendSrc::Encoded => {
                         let e = self
-                            .find_dep(id, |p| p == Primitive::Encode)
+                            .graph
+                            .find_dep(id, Primitive::Encode)
                             .ok_or_else(|| Error::sim("encoded send without encode"))?;
-                        Payload::Compressed(
+                        Arc::new(Payload::Compressed(
                             self.enc_out
                                 .get(&e.0)
                                 .cloned()
                                 .ok_or_else(|| Error::sim("send before encode ran"))?,
-                        )
+                        ))
                     }
                     SendSrc::Forward => {
                         let r = self
-                            .find_dep(id, |p| p == Primitive::Recv)
+                            .graph
+                            .find_dep(id, Primitive::Recv)
                             .ok_or_else(|| Error::sim("forward without recv"))?;
-                        let p = self
-                            .recv_payload
+                        // The received payload travels on as is: share
+                        // it rather than copy it.
+                        self.recv_payload
                             .get(&r.0)
-                            .ok_or_else(|| Error::sim("forward before recv delivered"))?;
-                        p.as_ref().clone()
+                            .cloned()
+                            .ok_or_else(|| Error::sim("forward before recv delivered"))?
                     }
                 };
                 self.report.bytes_wire += payload.wire_bytes();
                 self.report.bytes_raw += t.bytes_raw;
                 sent_bytes = Some((payload.wire_bytes(), t.bytes_raw));
-                outbound = Some(Arc::new(payload));
+                outbound = Some(payload);
             }
             Primitive::Recv => {
                 let send = self
-                    .find_dep(id, |p| p == Primitive::Send)
+                    .graph
+                    .find_dep(id, Primitive::Send)
                     .ok_or_else(|| Error::sim("recv without its send"))?;
                 recv_from = Some(send.0 as u64);
                 let payload = self
@@ -1180,55 +1211,46 @@ impl<'a> NodeCore<'a> {
             }
             Primitive::Barrier => {}
             Primitive::Update => {
-                let value: Vec<f32> = if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode)
-                {
-                    if self.skipped_out.contains(&d.0) {
-                        // The disseminated aggregate never arrived:
-                        // install the best local approximation.
-                        self.degraded_aggregate(key)?
-                    } else {
-                        self.dec_out
-                            .get(&d.0)
-                            .cloned()
-                            .ok_or_else(|| Error::sim("update before decode"))?
-                    }
-                } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
-                    match self.recv_payload.get(&r.0).map(|p| p.as_ref()) {
-                        Some(Payload::Raw(v)) => v.clone(),
-                        Some(Payload::Compressed(_)) => {
-                            return Err(Error::sim("raw update of compressed payload"));
+                let install = match self.take_incoming(id, "update")? {
+                    // The disseminated aggregate never arrived: install
+                    // the best local approximation.
+                    Some(Incoming::Hole) => Some(Incoming::Owned(self.degraded_aggregate(key)?)),
+                    Some(incoming) => Some(incoming),
+                    None => match self.graph.find_dep(id, Primitive::Encode) {
+                        // Replica consistency: the aggregate's owner
+                        // installs the reconstruction of the bytes it
+                        // disseminated, exactly as every decoding
+                        // replica will.
+                        Some(e) => {
+                            let c = self.compressor()?;
+                            let bytes = self
+                                .enc_out
+                                .get(&e.0)
+                                .ok_or_else(|| Error::sim("update before encode ran"))?;
+                            Some(Incoming::Owned(c.decode(bytes)?))
                         }
-                        Some(Payload::Skipped) => self.degraded_aggregate(key)?,
-                        None => return Err(Error::sim("update before recv delivered")),
-                    }
-                } else if let Some(e) = self.find_dep(id, |p| p == Primitive::Encode) {
-                    // Replica consistency: the aggregate's owner
-                    // installs the reconstruction of the bytes it
-                    // disseminated, exactly as every decoding replica
-                    // will.
-                    let c = self.compressor()?;
-                    let bytes = self
-                        .enc_out
-                        .get(&e.0)
-                        .ok_or_else(|| Error::sim("update before encode ran"))?;
-                    c.decode(bytes)?
-                } else {
-                    self.settle_degraded(key);
-                    self.cells
-                        .get(&key)
-                        .ok_or_else(|| Error::sim("update with no state"))?
-                        .acc
-                        .clone()
+                        // The accumulator itself is the aggregate.
+                        None => {
+                            self.settle_degraded(key);
+                            None
+                        }
+                    },
                 };
                 let cell = self
                     .cells
                     .get_mut(&key)
                     .ok_or_else(|| Error::sim("update with no state"))?;
-                if value.len() != cell.acc.len() {
-                    return Err(Error::sim("update length mismatch"));
+                if let Some(install) = install {
+                    let value = install.as_slice().expect("holes were replaced above");
+                    if value.len() != cell.acc.len() {
+                        return Err(Error::sim("update length mismatch"));
+                    }
+                    match install {
+                        Incoming::Owned(value) => cell.acc = value,
+                        _ => cell.acc.copy_from_slice(value),
+                    }
                 }
-                cell.acc = value.clone();
-                cell.updated = Some(value);
+                cell.updated = true;
             }
         }
         let ns = started.elapsed().as_nanos() as u64;

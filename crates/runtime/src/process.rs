@@ -1303,7 +1303,8 @@ fn coordinate(
                                         (
                                             (f, p),
                                             Cell {
-                                                updated: Some(v),
+                                                acc: v,
+                                                updated: true,
                                                 ..Cell::default()
                                             },
                                         )
@@ -1777,7 +1778,7 @@ fn run_job(
         Ok((cells, report)) => {
             let cells = cells
                 .into_iter()
-                .filter_map(|((f, p), c)| c.updated.map(|v| (f, p, v)))
+                .filter_map(|((f, p), c)| c.updated.then_some((f, p, c.acc)))
                 .collect();
             write_ctl(
                 ctl,

@@ -10,6 +10,10 @@
 //! number of bits is padded with zeros to a byte boundary, mirroring
 //! the paper's CompLL code generator ("minimal zero padding to ensure
 //! the total number of bits is a multiple of 8", §4.3).
+//!
+//! [`BitWriter`]/[`BitReader`] handle mixed widths one value at a time;
+//! [`pack`]/[`unpack`] are the word-at-a-time fixed-width (1–8 bit)
+//! kernels the quantizers use, producing the identical layout.
 
 /// Incremental writer that packs variable-width codes into a `Vec<u8>`.
 #[derive(Debug, Default, Clone)]
@@ -24,14 +28,6 @@ impl BitWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty writer with room for `bits` bits.
-    pub fn with_capacity_bits(bits: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(bits.div_ceil(8)),
-            partial_bits: 0,
-        }
     }
 
     /// Appends the low `width` bits of `value`.
@@ -49,9 +45,9 @@ impl BitWriter {
         let mut remaining = width;
         let mut v = value;
         while remaining > 0 {
+            // A full (or absent) last byte: start a fresh one.
             if self.partial_bits == 0 {
                 self.buf.push(0);
-                self.partial_bits = 0;
             }
             let free = 8 - self.partial_bits;
             let take = free.min(remaining);
@@ -60,11 +56,6 @@ impl BitWriter {
             v >>= take;
             self.partial_bits = (self.partial_bits + take) % 8;
             remaining -= take;
-            // If we filled the byte exactly, partial_bits wrapped to 0 and
-            // the next iteration pushes a fresh byte.
-            if remaining > 0 && self.partial_bits == 0 {
-                continue;
-            }
         }
     }
 
@@ -186,6 +177,79 @@ impl<'a> BitReader<'a> {
 /// Number of bytes needed to store `count` values of `width` bits each.
 pub fn packed_len(count: usize, width: u32) -> usize {
     (count * width as usize).div_ceil(8)
+}
+
+/// Codes per packing group at `width` bits: a whole `u64` word when
+/// `width` divides 64, otherwise eight codes (exactly `width` bytes).
+/// Either way a group starts and ends on a byte boundary.
+fn group_len(width: u32) -> usize {
+    assert!((1..=8).contains(&width), "packed width must be in 1..=8");
+    if 64 % width == 0 {
+        (64 / width) as usize
+    } else {
+        8
+    }
+}
+
+/// Appends one code per item, `width` bits each, to `out` in exactly
+/// the layout a [`BitWriter`] produces for the same `write(code,
+/// width)` calls followed by `finish`: LSB-first, zero padded to a
+/// byte boundary.
+///
+/// The fixed-width hot path of the quantizers: `code` is called on
+/// each item in order, and a group of codes is gathered into one `u64`
+/// word and stored with a single copy.
+///
+/// # Panics
+///
+/// Panics if `width` is not in `1..=8`, or if a code has bits set
+/// above `width`.
+#[inline]
+pub fn pack<T>(out: &mut Vec<u8>, width: u32, items: &[T], mut code: impl FnMut(&T) -> u64) {
+    let group = group_len(width);
+    out.reserve(packed_len(items.len(), width));
+    let mut seen = 0u64;
+    for chunk in items.chunks(group) {
+        let mut word = 0u64;
+        for (i, item) in chunk.iter().enumerate() {
+            let c = code(item);
+            seen |= c;
+            word |= c << (i as u32 * width);
+        }
+        out.extend_from_slice(&word.to_le_bytes()[..packed_len(chunk.len(), width)]);
+    }
+    assert!(seen >> width == 0, "a code does not fit in {width} bits");
+}
+
+/// Reads `count` codes of `width` bits from a [`pack`]ed (or
+/// [`BitWriter`]) stream and maps each through `value`, in order,
+/// reading one group word at a time.
+///
+/// Returns `None` if `bytes` is shorter than [`packed_len`]`(count,
+/// width)`. Bytes past that length are ignored.
+///
+/// # Panics
+///
+/// Panics if `width` is not in `1..=8`.
+#[inline]
+pub fn unpack<T>(
+    bytes: &[u8],
+    width: u32,
+    count: usize,
+    mut value: impl FnMut(u64) -> T,
+) -> Option<Vec<T>> {
+    let group = group_len(width);
+    let bytes = bytes.get(..packed_len(count, width))?;
+    let mask = (1u64 << width) - 1;
+    let mut out = Vec::with_capacity(count);
+    for (g, chunk) in bytes.chunks(group * width as usize / 8).enumerate() {
+        let mut le = [0u8; 8];
+        le[..chunk.len()].copy_from_slice(chunk);
+        let word = u64::from_le_bytes(le);
+        let n = (count - g * group).min(group);
+        out.extend((0..n).map(|i| value((word >> (i as u32 * width)) & mask)));
+    }
+    Some(out)
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@
 //! * [`rng`] — deterministic, seed-stable pseudo random number
 //!   generators (SplitMix64 and Xoshiro256**) used everywhere the
 //!   simulation needs reproducible randomness.
-//! * [`bits`] — LSB-first bit-level readers and writers used by the
-//!   quantization compressors and the CompLL packed-array runtime.
+//! * [`bits`] — LSB-first bit packing: the word-level fixed-width
+//!   `pack`/`unpack` kernels of the quantization compressors, and the
+//!   mixed-width readers and writers of the CompLL packed-array
+//!   runtime, all producing one layout.
 //! * [`stats`] — streaming statistics (Welford) and percentile helpers
 //!   used by the benchmark harness.
 //! * [`units`] — byte/bandwidth/time unit conversions shared by the

@@ -1,7 +1,7 @@
 //! Randomized tests for the bit-level reader/writer duality, driven
 //! by the workspace's own deterministic PRNGs.
 
-use hipress_util::bits::{packed_len, BitReader, BitWriter};
+use hipress_util::bits::{pack, packed_len, unpack, BitReader, BitWriter};
 use hipress_util::rng::{Rng64, Xoshiro256};
 
 const CASES: usize = 256;
@@ -98,4 +98,46 @@ fn skip_equals_read() {
             }
         }
     }
+}
+
+/// The word-level `pack` writes exactly the bytes `BitWriter::write`
+/// writes, for every width 1–8 and every length 0–200; `unpack`
+/// reads them back and refuses a stream one byte short.
+#[test]
+fn pack_matches_bit_writer() {
+    let mut rng = Xoshiro256::new(0xB175_0004);
+    for width in 1..=8u32 {
+        for len in 0..=200usize {
+            let codes: Vec<u64> = (0..len).map(|_| rng.next_below(1 << width)).collect();
+            let mut w = BitWriter::new();
+            for &c in &codes {
+                w.write(c, width);
+            }
+            let want = w.finish();
+
+            // Appends after existing bytes, leaving them untouched.
+            let mut out = vec![0xA5];
+            pack(&mut out, width, &codes, |&c| c);
+            assert_eq!(out[0], 0xA5);
+            assert_eq!(out[1..], want[..], "width {width}, len {len}");
+
+            let back = unpack(&want, width, len, |c| c);
+            assert_eq!(back.as_ref(), Some(&codes), "width {width}, len {len}");
+
+            // Trailing bytes are ignored; a missing byte is refused.
+            let mut longer = want.clone();
+            longer.extend_from_slice(&[0xFF; 9]);
+            assert_eq!(unpack(&longer, width, len, |c| c), Some(codes));
+            if !want.is_empty() {
+                assert!(unpack(&want[..want.len() - 1], width, len, |c| c).is_none());
+            }
+        }
+    }
+}
+
+/// A code wider than its width is rejected, as `BitWriter` does.
+#[test]
+#[should_panic(expected = "does not fit")]
+fn pack_rejects_oversized_code() {
+    pack(&mut Vec::new(), 3, &[1u64, 8, 2], |&c| c);
 }
